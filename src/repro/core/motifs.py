@@ -220,11 +220,13 @@ class WindowMatcher:
     def matches_containing(self, eid: int) -> list[Match]:
         """All window matches containing edge ``eid``, sorted by descending
         motif support then ascending size (Sec. 4's support ordering; the
-        single-edge match always sorts first by support monotonicity)."""
+        single-edge match always sorts first by support monotonicity).
+        Ties break on the sorted edge ids, a total order, so the result
+        never depends on set iteration order."""
         out = self._by_eid.get(eid, set())
         return sorted(
             out,
-            key=lambda m: (-self.motifs.support(m.node), len(m.eids), min(m.eids)),
+            key=lambda m: (-self.motifs.support(m.node), len(m.eids), sorted(m.eids)),
         )
 
     def remove_edges(self, eids: set[int]) -> None:

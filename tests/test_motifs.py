@@ -113,6 +113,17 @@ class TestEviction:
         assert supports == sorted(supports, reverse=True)
         assert all(1 in m.eids for m in m_e1)
 
+    def test_matches_containing_total_order(self, matcher):
+        """Matches tied on support and size order by their sorted edge
+        ids, so the cluster order never falls to set iteration."""
+        for e in (E1, E2, E3, E4, E5):
+            matcher.offer(e)
+        keys = [
+            (-matcher.motifs.support(m.node), len(m.eids), sorted(m.eids))
+            for m in matcher.matches_containing(1)
+        ]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_remove_edges_drops_touching_matches(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
