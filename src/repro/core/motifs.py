@@ -73,6 +73,14 @@ class WindowMatcher:
     def oldest(self) -> Edge | None:
         return next(iter(self.window.values()), None)
 
+    def matches(self) -> set[Match]:
+        """Every match currently in the window."""
+        return set(self._all)
+
+    def matches_at(self, v: int) -> set[Match]:
+        """The matches that contain vertex ``v`` (its matchList entry)."""
+        return set(self.match_list.get(v, ()))
+
     def _edge_pairs(self, eids: frozenset[int]) -> list[tuple[int, int]]:
         return [self.window[i].endpoints() for i in eids]
 

@@ -239,3 +239,120 @@ class TestStreamScenarios:
             m.offer(Edge(i, 0, leaf))
         sizes = {len(mm.eids) for mm in m._all}
         assert sizes == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle: the matcher's match set is exactly the connected
+# window edge subsets of at most max_motif_edges edges whose full factor
+# multiset is a motif.
+
+from collections import Counter
+from functools import lru_cache
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.signature import factor_key, graph_factors, incremental_factors
+from repro.graphs.generators import generate
+from repro.graphs.model import LabeledGraph
+from repro.graphs.streams import ORDERS, ordered_stream
+from repro.workloads.queries import workload
+
+
+# Graph scales at which 100-200 edges pass each dataset's motif gate.
+ORACLE_SCALE = {"dblp": 150, "lubm": 1000}
+
+
+@lru_cache(maxsize=None)
+def oracle_setup(dataset: str, seed: int, order: str):
+    """A generated graph, its motifs and its gated edges in stream order.
+    Edges the gate rejects never touch the matcher, so they are left out."""
+    g = generate(dataset, scale=ORACLE_SCALE[dataset], seed=seed)
+    motifs = TPSTry.from_workload(workload(dataset)).motifs(0.4)
+    h = motifs.trie.h
+    gated = [
+        (u, v)
+        for u, v in ordered_stream(g, order, seed=seed)
+        if motifs.single_edge_motif(incremental_factors((u, v), (), g.labels, h))
+    ]
+    return g, motifs, gated
+
+
+def brute_force_matches(matcher: WindowMatcher) -> set[tuple[frozenset[int], tuple]]:
+    window, labels = matcher.window, matcher.labels
+    cap = matcher.motifs.max_motif_edges()
+    at: dict[int, set[int]] = {}
+    for eid, e in window.items():
+        for x in e.endpoints():
+            at.setdefault(x, set()).add(eid)
+    connected: set[frozenset[int]] = set()
+    frontier = {frozenset([eid]) for eid in window}
+    while frontier:
+        connected |= frontier
+        frontier = {
+            s | {nb}
+            for s in frontier
+            if len(s) < cap
+            for eid in s
+            for x in window[eid].endpoints()
+            for nb in at[x] - s
+        } - connected
+    out = set()
+    keys: dict[tuple, tuple] = {}  # graph_factors depends only on this shape
+    for s in connected:
+        pairs = [window[i].endpoints() for i in s]
+        deg = Counter(x for p in pairs for x in p)
+        shape = (
+            tuple(sorted(tuple(sorted((labels[a], labels[b]))) for a, b in pairs)),
+            tuple(sorted((labels[x], d) for x, d in deg.items())),
+        )
+        if shape not in keys:
+            sub = LabeledGraph({x: labels[x] for x in deg}, pairs)
+            keys[shape] = factor_key(graph_factors(sub, matcher.h))
+        if matcher.motifs.is_motif(keys[shape]):
+            out.add((s, keys[shape]))
+    return out
+
+
+def assert_oracle(matcher: WindowMatcher) -> None:
+    assert {(m.eids, m.node) for m in matcher.matches()} == brute_force_matches(matcher)
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("dataset", ["dblp", "lubm"])
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2),
+        order=st.sampled_from(ORDERS),
+        n_edges=st.integers(20, 300),
+        removals=st.lists(
+            st.tuples(st.integers(0, 299), st.lists(st.integers(0, 10_000), max_size=4)),
+            max_size=6,
+        ),
+    )
+    def test_window_matches_equal_brute_force(self, dataset, seed, order, n_edges, removals):
+        """Interleaved with remove_edges of arbitrary window edges."""
+        g, motifs, edge_order = oracle_setup(dataset, seed, order)
+        m = WindowMatcher(motifs, dict(g.labels))
+        schedule: dict[int, list[list[int]]] = {}
+        for at_edge, picks in removals:
+            schedule.setdefault(at_edge, []).append(picks)
+        for i, (u, v) in enumerate(edge_order[:n_edges]):
+            m.offer(Edge(i, u, v))
+            for picks in schedule.get(i, ()):
+                live = list(m.window)
+                if live:
+                    m.remove_edges({live[p % len(live)] for p in picks})
+                    assert_oracle(m)
+        assert_oracle(m)
+
+    def test_lubm_exercises_the_join(self):
+        """LUBM's largest motif has 3 edges, so joins of two matches
+        across an arriving edge occur."""
+        g, motifs, edge_order = oracle_setup("lubm", 0, "random")
+        assert motifs.max_motif_edges() == 3
+        m = WindowMatcher(motifs, dict(g.labels))
+        for i, (u, v) in enumerate(edge_order):
+            m.offer(Edge(i, u, v))
+        assert any(len(x) == 3 for x in m.matches())
+        assert_oracle(m)
