@@ -146,6 +146,15 @@ class LoomPartitioner(StreamingPartitioner):
         st = self.state
         supports = [self.motifs.support(m.node) for m in m_e]
         match_verts = [self.matcher._vertices(m.eids) for m in m_e]
+        # N(S_i, E_k) for every partition at once: one pass per match.
+        in_part: list[dict[int, int]] = []
+        for verts in match_verts:
+            hist: dict[int, int] = {}
+            for v in verts:
+                pid = st.assignment.get(v, -1)
+                if pid >= 0:
+                    hist[pid] = hist.get(pid, 0) + 1
+            in_part.append(hist)
         # LDG-style secondary signal: where the whole cluster's unassigned
         # vertices already have assigned neighbours. Equal opportunism
         # "extends ideas present in LDG" (Sec. 4); without this, clusters
@@ -177,9 +186,8 @@ class LoomPartitioner(StreamingPartitioner):
             # fallback fills to the soft cap n/k, below this.
             resid = 1.0 - st.sizes[pid] / st.capacity
             total = 0.0
-            for m, supp, verts in zip(m_e[:n_i], supports[:n_i], match_verts[:n_i]):
-                n_si = sum(1 for v in verts if st.assignment.get(v, -1) == pid)
-                total += n_si * resid * supp
+            for supp, hist in zip(supports[:n_i], in_part[:n_i]):
+                total += hist.get(pid, 0) * resid * supp
             key = (total, nbr_counts[pid] * max(resid, 0.0), -st.sizes[pid], -pid)
             if best_key is None or key > best_key:
                 best_pid, best_key, best_n = pid, key, n_i

@@ -2,22 +2,26 @@
 
 The :class:`WindowMatcher` maintains Loom's temporary partition ``P_temp``
 (the window of the most recent motif-relevant edges) together with the
-``matchList`` map: vertex -> set of ⟨edge-set, trie-node⟩ motif matches
-containing that vertex. All isomorphism checks are incremental factor
-arithmetic against the motif-filtered TPSTry++ — signatures are never
-recomputed from scratch.
+``matchList`` map: vertex -> ⟨edge-set, trie-node⟩ motif matches containing
+that vertex. All isomorphism checks are incremental factor arithmetic
+against the motif-filtered TPSTry++ — signatures are never recomputed from
+scratch.
+
+``fac(e, g)`` depends only on e's endpoint labels and their degrees in
+``g``, so matchList buckets each vertex's matches by (trie node, degree of
+the vertex in the match), and a bucket that the arriving edge cannot extend
+is skipped without touching its matches (see ``_children_of``).
 
 Per arriving edge ``e = (v1, v2)``:
 
 1. If ``e``'s single-edge factors match no single-edge motif, it is
    rejected (the caller assigns it immediately via LDG; it never enters the
    window and displaces nothing).
-2. Otherwise ``e`` joins the window and ``⟨{e}, m⟩`` joins matchList.
-3. Every existing match touching ``v1`` or ``v2`` is extended with ``e`` if
+2. Every existing match touching ``v1`` or ``v2`` is extended with ``e`` if
    the match's trie node has a motif child whose factor difference equals
-   ``fac(e, match)`` (Alg. 2 lines 4-8).
-4. Every pair of matches drawn from matchList(v1) x matchList(v2) is
-   recursively joined edge-by-edge from the smaller into the larger,
+   ``fac(e, match)`` (Alg. 2 lines 4-8); then ``⟨{e}, m⟩`` joins matchList.
+3. Pairs of matches from matchList(v1) x matchList(v2) that contain ``e``
+   are recursively joined edge-by-edge from the smaller into the larger,
    recording a new match only when the smaller match is exhausted
    (Alg. 2 lines 11-18).
 
@@ -29,11 +33,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.tpstry import FactorKey, MotifIndex
+from repro.core.tpstry import ROOT_KEY, FactorKey, MotifIndex
 from repro.graphs.model import Edge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """A motif-matching sub-graph in the window: its window edge ids and
     the TPSTry++ node (motif) it matches."""
@@ -53,18 +57,12 @@ class WindowMatcher:
         self.labels = labels  # shared, grows as the stream reveals vertices
         self.h = motifs.trie.h
         self.window: OrderedDict[int, Edge] = OrderedDict()  # eid -> Edge, arrival order
-        self.match_list: dict[int, set[Match]] = {}  # vertex -> matches
-        self._all: set[Match] = set()
+        # vertex -> (trie node, degree of the vertex in the match) -> matches
+        self.match_list: dict[int, dict[tuple[FactorKey, int], set[Match]]] = {}
         self._by_eid: dict[int, set[Match]] = {}  # edge -> matches containing it
         self._max_edges = motifs.max_motif_edges()
-        # Per-edge-set vertex degrees (sub-graph degrees drive fac(e, g));
-        # cached so hub vertices with hundreds of matches don't recompute
-        # them for every arriving edge.
-        self._deg: dict[frozenset[int], dict[int, int]] = {}
-        # (label_u, label_v, deg_u_in_g, deg_v_in_g) -> fac key memo: the
-        # incremental factors depend only on endpoint labels and their
-        # current sub-graph degrees.
-        self._fac_memo: dict[tuple[str, str, int, int], tuple[int, ...]] = {}
+        # (node, label_a, label_b, deg_a) -> {deg_b: motif child}: see _children_of
+        self._children: dict[tuple[FactorKey, str, str, int], dict[int, FactorKey]] = {}
 
     # ---------------------------------------------------------------- utils
     def __len__(self) -> int:
@@ -75,153 +73,145 @@ class WindowMatcher:
 
     def matches(self) -> set[Match]:
         """Every match currently in the window."""
-        return set(self._all)
+        return set().union(*self._by_eid.values())
 
     def matches_at(self, v: int) -> set[Match]:
         """The matches that contain vertex ``v`` (its matchList entry)."""
-        return set(self.match_list.get(v, ()))
-
-    def _edge_pairs(self, eids: frozenset[int]) -> list[tuple[int, int]]:
-        return [self.window[i].endpoints() for i in eids]
+        return set().union(*self.match_list.get(v, {}).values())
 
     def _vertices(self, eids: frozenset[int]) -> set[int]:
         return {x for i in eids for x in self.window[i].endpoints()}
 
     def _degrees(self, eids: frozenset[int]) -> dict[int, int]:
-        """Cached sub-graph degree map for a window edge set."""
-        deg = self._deg.get(eids)
-        if deg is None:
-            deg = {}
-            for i in eids:
-                e = self.window[i]
-                deg[e.u] = deg.get(e.u, 0) + 1
-                deg[e.v] = deg.get(e.v, 0) + 1
-            self._deg[eids] = deg
+        """Sub-graph degree of each vertex of a window edge set."""
+        deg: dict[int, int] = {}
+        for i in eids:
+            e = self.window[i]
+            deg[e.u] = deg.get(e.u, 0) + 1
+            deg[e.v] = deg.get(e.v, 0) + 1
         return deg
 
-    def _fac(self, e: Edge, eids: frozenset[int]) -> tuple[int, ...]:
-        """``fac(e, g)`` via the degree cache and the per-label-type memo."""
-        return self._fac_from_deg(e, self._degrees(eids))
+    def _children_of(self, node: FactorKey, la: str, lb: str, da: int) -> dict[int, FactorKey]:
+        """Memoised ``{deg_b: child}`` for an ``la``-``lb`` edge added to a
+        match at ``node`` where its ``la`` endpoint has degree ``da``."""
+        key = (node, la, lb, da)
+        out = self._children.get(key)
+        if out is None:
+            h = self.h
+            fixed = (h.edge_factor(la, lb), h.degree_factor(la, da + 1))
+            out = {}
+            for db in range(self._max_edges):
+                fac = tuple(sorted(fixed + (h.degree_factor(lb, db + 1),)))
+                child = self.motifs.motif_child(node, fac)
+                if child is not None:
+                    out[db] = child
+            self._children[key] = out
+        return out
 
-    def _fac_from_deg(self, e: Edge, deg: dict[int, int]) -> tuple[int, ...]:
-        lu, lv = self.labels[e.u], self.labels[e.v]
-        key = (lu, lv, deg.get(e.u, 0), deg.get(e.v, 0))
-        fac = self._fac_memo.get(key)
-        if fac is None:
-            fac = tuple(
-                sorted(
-                    (
-                        self.h.edge_factor(lu, lv),
-                        self.h.degree_factor(lu, key[2] + 1),
-                        self.h.degree_factor(lv, key[3] + 1),
-                    )
-                )
-            )
-            self._fac_memo[key] = fac
-        return fac
-
-    def _record(self, m: Match) -> bool:
+    def _record(self, m: Match) -> None:
         """Insert a match into matchList for all its vertices; dedup."""
-        if m in self._all:
-            return False
-        self._all.add(m)
-        for v in self._vertices(m.eids):
-            self.match_list.setdefault(v, set()).add(m)
+        if m in self._by_eid.get(next(iter(m.eids)), ()):
+            return
+        for v, d in self._degrees(m.eids).items():
+            self.match_list.setdefault(v, {}).setdefault((m.node, d), set()).add(m)
         for eid in m.eids:
             self._by_eid.setdefault(eid, set()).add(m)
-        return True
 
     # ------------------------------------------------------------ main path
     def offer(self, e: Edge) -> bool:
         """Process a new stream edge. Returns True if it entered the window
         (matched a single-edge motif), False if the caller must assign it
         immediately."""
-        fac = self._fac(e, frozenset())
-        node = self.motifs.single_edge_motif(fac)
+        node = self._children_of(ROOT_KEY, self.labels[e.u], self.labels[e.v], 0).get(0)
         if node is None:
             return False
         self.window[e.eid] = e
-        base = Match(frozenset([e.eid]), node)
-        self._record(base)
         self._extend_with(e)
+        self._record(Match(frozenset([e.eid]), node))
         self._join_pairs(e)
         return True
 
     def _extend_with(self, e: Edge) -> None:
-        """Alg. 2 lines 4-8: grow each match touching e's endpoints by e."""
-        u, v = e.endpoints()
-        # Snapshot: _record mutates match_list while we iterate. Iteration
-        # order does not affect the resulting match set (extensions are
-        # independent and deduplicated).
-        candidates = list(self.match_list.get(u, set()) | self.match_list.get(v, set()))
-        for m in candidates:
-            if e.eid in m.eids or len(m.eids) >= self._max_edges:
-                continue
-            fac = self._fac(e, m.eids)
-            child = self.motifs.motif_child(m.node, fac)
-            if child is not None:
-                self._record(Match(m.eids | {e.eid}, child))
+        """Alg. 2 lines 4-8: grow each match touching e's endpoints by e,
+        visiting only the buckets that e can extend."""
+        window, grown = self.window, []
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            la, lb = self.labels[a], self.labels[b]
+            for (node, da), bucket in self.match_list.get(a, {}).items():
+                children = self._children_of(node, la, lb, da)
+                if not children:
+                    continue
+                for m in bucket:
+                    db = 0
+                    for i in m.eids:
+                        x = window[i]
+                        db += (x.u == b) + (x.v == b)
+                    child = children.get(db)
+                    if child is not None:
+                        grown.append(Match(m.eids | {e.eid}, child))
+        # A match holding both endpoints is grown twice; _record dedups.
+        for m in grown:
+            self._record(m)
 
     def _join_pairs(self, e: Edge) -> None:
         """Alg. 2 lines 11-18: join matches across e's two endpoints.
 
         Any *newly formed* combined match must contain the just-arrived
         edge ``e`` (joins among older matches were already attempted when
-        their own last edge arrived), so only pairs where at least one
-        member contains ``e`` are tried.
+        their own last edge arrived), and a match holding ``e`` holds both
+        endpoints; so each one is paired with the matches at the other
+        endpoint. ``{e}`` is left out: big + {e} is what _extend_with did,
+        and {e} + {e'} reaches the same trie node as extending {e'} by e.
+        A match at the largest-motif size can never absorb another edge.
         """
-        u, v = e.endpoints()
-        just_e = frozenset([e.eid])
-        # A match already at the largest-motif size can never absorb
-        # another edge; dropping those up front avoids a quadratic scan
-        # over the (hub-vertex) match lists.
-        ms1 = [m for m in self.match_list.get(u, set()) if len(m.eids) < self._max_edges]
-        ms2 = [m for m in self.match_list.get(v, set()) if len(m.eids) < self._max_edges]
-        for m1 in ms1:
-            for m2 in ms2:
-                if e.eid not in m1.eids and e.eid not in m2.eids:
-                    continue
-                if m1.eids == just_e or m2.eids == just_e:
-                    # big + {e} is exactly what _extend_with already did,
-                    # and {e} + {e'} reaches the same trie node as
-                    # extending {e'} by e (the trie links every parent).
-                    continue
-                if m1 == m2 or m2.eids <= m1.eids or m1.eids <= m2.eids:
-                    continue
-                big, small = (m1, m2) if len(m1.eids) >= len(m2.eids) else (m2, m1)
-                if len(big.eids) + len(small.eids - big.eids) > self._max_edges:
-                    continue
-                self._grow(big.eids, big.node, small.eids - big.eids)
+        cap = self._max_edges
+        anchored = [m for m in self._by_eid[e.eid] if 1 < len(m.eids) < cap]
+        if not anchored:
+            return
+
+        def joinable(v: int) -> list[Match]:
+            return [m for ms in self.match_list[v].values() for m in ms if len(m.eids) < cap]
+
+        at_u, at_v = joinable(e.u), joinable(e.v)
+        for a in anchored:
+            for m2 in at_v:
+                self._join(a, m2)
+            for m1 in at_u:
+                if e.eid not in m1.eids:
+                    self._join(m1, a)
+
+    def _join(self, m1: Match, m2: Match) -> None:
+        """Grow the larger of two overlapping matches by the other's edges."""
+        if m2.eids <= m1.eids or m1.eids <= m2.eids:
+            return
+        big, small = (m1, m2) if len(m1.eids) >= len(m2.eids) else (m2, m1)
+        rest = small.eids - big.eids
+        if len(big.eids) + len(rest) <= self._max_edges:
+            self._grow(big.eids, big.node, rest, self._degrees(big.eids))
 
     def _grow(
         self,
         base: frozenset[int],
         node: FactorKey,
         remaining: frozenset[int],
-        deg: dict[int, int] | None = None,
+        deg: dict[int, int],
     ) -> None:
         """Recursively add ``remaining`` edges to ``base``; record the match
         only when every edge has been placed ("grow ... updating matchList
         only if all edges from the smaller match have been added").
-
-        ``deg`` carries the sub-graph degrees through the recursion so
-        transient edge sets never enter the degree cache.
-        """
+        ``deg`` carries the sub-graph degrees of ``base``."""
         if not remaining:
             self._record(Match(base, node))
             return
-        if deg is None:
-            deg = self._degrees(base)
         for eid in sorted(remaining):
-            e2 = self.window[eid]
-            if e2.u not in deg and e2.v not in deg:
+            x = self.window[eid]
+            du, dv = deg.get(x.u, 0), deg.get(x.v, 0)
+            if not du and not dv:
                 continue  # trie children always add incident edges
-            fac = self._fac_from_deg(e2, deg)
-            child = self.motifs.motif_child(node, fac)
+            child = self._children_of(node, self.labels[x.u], self.labels[x.v], du).get(dv)
             if child is not None:
                 ndeg = dict(deg)
-                ndeg[e2.u] = ndeg.get(e2.u, 0) + 1
-                ndeg[e2.v] = ndeg.get(e2.v, 0) + 1
+                ndeg[x.u], ndeg[x.v] = du + 1, dv + 1
                 self._grow(base | {eid}, child, remaining - {eid}, ndeg)
 
     # ------------------------------------------------------------ eviction
@@ -244,19 +234,18 @@ class WindowMatcher:
         for eid in eids:
             doomed |= self._by_eid.get(eid, set())
         for m in doomed:
-            self._all.discard(m)
-            for v in self._vertices(m.eids):
-                s = self.match_list.get(v)
-                if s is not None:
-                    s.discard(m)
-                    if not s:
+            for v, d in self._degrees(m.eids).items():
+                buckets = self.match_list[v]
+                bucket = buckets[(m.node, d)]
+                bucket.discard(m)
+                if not bucket:
+                    del buckets[(m.node, d)]
+                    if not buckets:
                         del self.match_list[v]
             for eid in m.eids:
-                s = self._by_eid.get(eid)
-                if s is not None:
-                    s.discard(m)
-                    if not s:
-                        del self._by_eid[eid]
-            self._deg.pop(m.eids, None)
+                s = self._by_eid[eid]
+                s.discard(m)
+                if not s:
+                    del self._by_eid[eid]
         for eid in eids:
             self.window.pop(eid, None)

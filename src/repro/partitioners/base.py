@@ -76,11 +76,14 @@ class PartitionState:
     def is_assigned(self, v: int) -> bool:
         return v in self.assignment
 
-    def neighbours_in(self, v: int, pid: int) -> int:
-        """|N(v) ∩ S_pid| over the revealed adjacency."""
-        return sum(
-            1 for w in self.adj.get(v, ()) if self.assignment.get(w, -1) == pid
-        )
+    def neighbour_counts(self, v: int) -> list[int]:
+        """|N(v) ∩ S_i| for every partition i, over the revealed adjacency."""
+        counts = [0] * self.k
+        for w in self.adj.get(v, ()):
+            pid = self.assignment.get(w, -1)
+            if pid >= 0:
+                counts[pid] += 1
+        return counts
 
     def least_loaded(self) -> int:
         return min(range(self.k), key=lambda i: (self.sizes[i], i))

@@ -39,10 +39,11 @@ class FennelPartitioner(StreamingPartitioner):
 
     def _choose(self, st: PartitionState, v: int) -> int:
         best_pid, best_key = -1, None
+        counts = st.neighbour_counts(v)
         for pid in range(st.k):
             if st.sizes[pid] >= self.max_size:
                 continue
-            score = st.neighbours_in(v, pid) - self.alpha * self.gamma * st.sizes[
+            score = counts[pid] - self.alpha * self.gamma * st.sizes[
                 pid
             ] ** (self.gamma - 1.0)
             key = (score, -st.sizes[pid], -pid)

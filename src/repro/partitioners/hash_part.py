@@ -30,8 +30,8 @@ class HashPartitioner(StreamingPartitioner):
         self.seed = seed
 
     def add_edge(self, e: StreamEdge) -> None:
+        # Hash never scores by neighbours, so it keeps no adjacency.
         st = self.state
-        st.observe_edge(e.u, e.v)
         for w in (e.u, e.v):
             if not st.is_assigned(w):
                 st.assign(w, hash_vertex(w, st.k, seed=self.seed))

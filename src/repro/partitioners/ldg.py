@@ -25,10 +25,11 @@ def ldg_choose(state: PartitionState, v: int) -> int:
     """Partition index maximising LDG's weighted neighbour count for ``v``."""
     best_pid = -1
     best_score = float("-inf")
+    counts = state.neighbour_counts(v)
     for pid in range(state.k):
         if state.sizes[pid] >= state.capacity:
             continue
-        score = state.neighbours_in(v, pid) * (
+        score = counts[pid] * (
             1.0 - state.sizes[pid] / state.soft_capacity
         )
         # Deterministic tie-break: least loaded, then lowest index.

@@ -5,12 +5,20 @@ edges over labels a/b/c, matched against motifs m1 = a-b, m2 = b-c,
 m3 = a-b-c, m4 = a-b-a, m5 = b-a-b and m6 = a-b-a-b (all sub-graphs of the
 workload {a-b-a-b path, a-b-c path}).
 """
-import pytest
+from collections import Counter
+from functools import lru_cache
 
-from repro.core.motifs import Match, WindowMatcher
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.motifs import WindowMatcher
+from repro.core.signature import factor_key, graph_factors, incremental_factors
 from repro.core.tpstry import TPSTry
-from repro.graphs.model import Edge
-from repro.workloads.queries import _path
+from repro.graphs.generators import generate
+from repro.graphs.model import Edge, LabeledGraph
+from repro.graphs.streams import ORDERS, ordered_stream
+from repro.workloads.queries import _path, workload
 
 
 def fig5_motifs():
@@ -33,7 +41,7 @@ def matcher():
 
 
 def edge_sets(matcher, v):
-    return {m.eids for m in matcher.match_list.get(v, set())}
+    return {m.eids for m in matcher.matches_at(v)}
 
 
 class TestFig5Walkthrough:
@@ -129,8 +137,8 @@ class TestEviction:
             matcher.offer(e)
         matcher.remove_edges({1})
         assert 1 not in matcher.window
-        for v, ms in matcher.match_list.items():
-            for m in ms:
+        for v in matcher.match_list:
+            for m in matcher.matches_at(v):
                 assert 1 not in m.eids
         # e2's own matches survive (they never contained e1)
         assert frozenset({2}) in edge_sets(matcher, 3)
@@ -165,22 +173,43 @@ class TestInvariants:
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
         seen = set()
-        for ms in matcher.match_list.values():
-            for m in ms:
+        for v in matcher.match_list:
+            for m in matcher.matches_at(v):
                 seen.add(m)
-        assert len(seen) == len(matcher._all)
+        assert seen == matcher.matches()
+
+    def test_match_list_buckets_by_node_and_degree(self, matcher):
+        """matchList files each match under every vertex it holds, in the
+        bucket (match node, degree of the vertex in the match)."""
+        for e in (E1, E2, E3, E4, E5):
+            matcher.offer(e)
+        matcher.remove_edges({E3.eid})
+        filed = set()
+        for v, buckets in matcher.match_list.items():
+            assert buckets
+            for (node, d), ms in buckets.items():
+                assert ms
+                for m in ms:
+                    ends = [x for i in m.eids for x in matcher.window[i].endpoints()]
+                    assert m.node == node and ends.count(v) == d
+                    filed.add((v, m))
+        assert filed == {
+            (v, m)
+            for m in matcher.matches()
+            for v in {x for i in m.eids for x in matcher.window[i].endpoints()}
+        }
 
     def test_match_size_bounded_by_largest_motif(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
         cap = matcher.motifs.max_motif_edges()
-        for m in matcher._all:
+        for m in matcher.matches():
             assert len(m.eids) <= cap
 
     def test_matches_are_connected(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
-        for m in matcher._all:
+        for m in matcher.matches():
             edges = [matcher.window[i].endpoints() for i in m.eids]
             verts = {x for p in edges for x in p}
             # union-find connectivity
@@ -199,7 +228,7 @@ class TestInvariants:
     def test_match_nodes_are_motifs(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
-        for m in matcher._all:
+        for m in matcher.matches():
             assert matcher.motifs.is_motif(m.node)
 
     def test_by_eid_index_consistent(self, matcher):
@@ -209,8 +238,8 @@ class TestInvariants:
         for eid, ms in matcher._by_eid.items():
             for m in ms:
                 assert eid in m.eids
-                assert m in matcher._all
-        for m in matcher._all:
+                assert m in matcher.matches()
+        for m in matcher.matches():
             for eid in m.eids:
                 assert m in matcher._by_eid[eid]
 
@@ -224,7 +253,7 @@ class TestStreamScenarios:
         m.offer(Edge(1, 1, 2))
         m.offer(Edge(2, 2, 3))
         m.offer(Edge(3, 2, 4))
-        sets2 = {mm.eids for mm in m.match_list[2]}
+        sets2 = {mm.eids for mm in m.matches_at(2)}
         assert frozenset({1, 2}) in sets2  # 1-2-3 a-b-a
         assert frozenset({1, 3}) in sets2  # 1-2-4 a-b-a
         assert frozenset({2, 3}) in sets2  # 3-2-4 a-b-a
@@ -237,7 +266,7 @@ class TestStreamScenarios:
         m = WindowMatcher(motifs, labels)
         for i, leaf in enumerate((1, 2, 3), start=1):
             m.offer(Edge(i, 0, leaf))
-        sizes = {len(mm.eids) for mm in m._all}
+        sizes = {len(mm.eids) for mm in m.matches()}
         assert sizes == {1, 2}
 
 
@@ -245,19 +274,6 @@ class TestStreamScenarios:
 # Brute-force oracle: the matcher's match set is exactly the connected
 # window edge subsets of at most max_motif_edges edges whose full factor
 # multiset is a motif.
-
-from collections import Counter
-from functools import lru_cache
-
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from repro.core.signature import factor_key, graph_factors, incremental_factors
-from repro.graphs.generators import generate
-from repro.graphs.model import LabeledGraph
-from repro.graphs.streams import ORDERS, ordered_stream
-from repro.workloads.queries import workload
-
 
 # Graph scales at which 100-200 edges pass each dataset's motif gate.
 ORACLE_SCALE = {"dblp": 150, "lubm": 1000}

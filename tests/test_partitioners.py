@@ -44,9 +44,8 @@ class TestPartitionState:
         st.observe_edge(1, 3)
         st.assign(2, 0)
         st.assign(3, 1)
-        assert st.neighbours_in(1, 0) == 1
-        assert st.neighbours_in(1, 1) == 1
-        assert st.neighbours_in(99, 0) == 0
+        assert st.neighbour_counts(1) == [1, 1]
+        assert st.neighbour_counts(99) == [0, 0]
 
     def test_least_loaded_tie_lowest_index(self):
         st = PartitionState(3, 30)
