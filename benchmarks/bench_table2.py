@@ -38,11 +38,7 @@ def test_partition_stream(benchmark, name, system):
     benchmark.extra_info["ms_per_10k_factor"] = 10_000 / len(stream)
 
     def one_round():
-        p = build_partitioner(system, 8, g, wl, window=10_000)
-        for e in stream:
-            p.add_edge(e)
-        p.finalize()
-        return p
+        return build_partitioner(system, 8, g, wl, window=10_000).partition(stream)
 
-    p = benchmark.pedantic(one_round, rounds=3, iterations=1)
-    assert len(p.state.assignment) > 0
+    assignment = benchmark.pedantic(one_round, rounds=3, iterations=1)
+    assert len(assignment) > 0

@@ -2,7 +2,8 @@
 
 Each job exposes ``run(spark, ...) -> str`` returning the formatted table
 (so tests and benchmarks can call it) and a ``main()`` that builds the
-session exactly as conftest.py does when invoked via spark-submit.
+session with :func:`job_session` when invoked via spark-submit; the test
+suite's ``spark`` fixture builds its session the same way.
 """
 from __future__ import annotations
 
@@ -12,6 +13,13 @@ from pyspark.sql import SparkSession
 
 
 def job_session(app: str) -> SparkSession:
+    """The Spark session shared by jobs and tests.
+
+    Master and driver memory are fixed at JVM launch (spark-submit flags or
+    ``PYSPARK_SUBMIT_ARGS``); the configs set here are honoured after
+    launch. Broadcast joins are disabled so the ipt joins exercise the
+    shuffle path at small scale.
+    """
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")

@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 
 from repro.core.motifs import Match, WindowMatcher
-from repro.core.tpstry import MotifIndex, TPSTry
+from repro.core.signature import incremental_factors
+from repro.core.tpstry import ROOT_KEY, MotifIndex, TPSTry
 from repro.graphs.model import Edge, LabeledGraph
 from repro.partitioners.base import StreamEdge, StreamingPartitioner
 from repro.partitioners.ldg import ldg_choose
@@ -101,8 +102,13 @@ class LoomPartitioner(StreamingPartitioner):
     # ------------------------------------------------------------- stream
     def add_edge(self, e: StreamEdge) -> None:
         st = self.state
-        self.labels.setdefault(e.u, e.lu)
-        self.labels.setdefault(e.v, e.lv)
+        if e.u == e.v:
+            raise ValueError(f"self-loop on vertex {e.u} (edge {e.eid})")
+        for w, lw in ((e.u, e.lu), (e.v, e.lv)):
+            if self.labels.setdefault(w, lw) != lw:
+                raise ValueError(
+                    f"vertex {w} arrives labelled {lw!r}, first seen as {self.labels[w]!r}"
+                )
         st.observe_edge(e.u, e.v)
         entered = self.matcher.offer(Edge(e.eid, e.u, e.v))
         if not entered:
@@ -204,10 +210,8 @@ class LoomPartitioner(StreamingPartitioner):
         key = (lu, lv) if lu <= lv else (lv, lu)
         supp = self._type_supp_cache.get(key)
         if supp is None:
-            from repro.core.signature import incremental_factors
-
             fac = incremental_factors((0, 1), (), {0: key[0], 1: key[1]}, self.matcher.h)
-            node = self.motifs.single_edge_motif(fac)
+            node = self.motifs.motif_child(ROOT_KEY, fac)
             supp = self.motifs.support(node) if node is not None else 0.0
             self._type_supp_cache[key] = supp
         return supp

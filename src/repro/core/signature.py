@@ -86,10 +86,9 @@ class LabelHash:
 def graph_factors(graph: LabeledGraph, h: LabelHash) -> Counter[int]:
     """Full factor multiset of a labelled graph."""
     c: Counter[int] = Counter()
-    edges = graph.canonical_edges()
-    for u, v in edges:
+    for u, v in graph.edges:
         c[h.edge_factor(graph.label_of(u), graph.label_of(v))] += 1
-    for v, d in subgraph_degrees(edges).items():
+    for v, d in subgraph_degrees(graph.edges).items():
         for n in range(1, d + 1):
             c[h.degree_factor(graph.label_of(v), n)] += 1
     return c

@@ -40,7 +40,6 @@ class TrieNode:
     # that produced this node (for inspection / tests only).
     rep_edges: tuple[tuple[str, str], ...]
     support_mass: float = 0.0
-    children: set[FactorKey] = field(default_factory=set)
     # fac(e, g) multiset-key -> child node keys reachable by adding an edge
     # with those factors. Alg. 2 line 7 resolves matches through this map.
     children_by_fac: dict[FactorKey, set[FactorKey]] = field(default_factory=dict)
@@ -81,15 +80,14 @@ class TPSTry:
         if freq <= 0:
             raise ValueError("query frequency must be positive")
         labels = q.labels
-        all_edges = q.canonical_edges()
-        if not all_edges:
+        if not q.edges:
             raise ValueError("query graph has no edges")
         adj = q.adjacency()
         touched: set[FactorKey] = set()
 
         # Level 1: every single edge, child of the root.
         frontier: dict[frozenset[tuple[int, int]], FactorKey] = {}
-        for e in all_edges:
+        for e in q.edges:
             fac = incremental_factors(e, (), labels, self.h)
             key = self._link(ROOT_KEY, fac, (e,), labels)
             touched.add(key)
@@ -140,7 +138,6 @@ class TPSTry:
             node = TrieNode(child_key, len(rep_edges), tuple(sorted(rep)))
             self.nodes[child_key] = node
         parent = self.nodes[parent_key]
-        parent.children.add(child_key)
         parent.children_by_fac.setdefault(fac, set()).add(child_key)
         return child_key
 
@@ -180,15 +177,6 @@ class MotifIndex:
 
     def support(self, key: FactorKey) -> float:
         return self.trie.support(key)
-
-    def single_edge_motif(self, fac: FactorKey) -> FactorKey | None:
-        """Motif node for a single edge with factors ``fac``, if any
-        (Sec. 3: the gate deciding whether an edge enters the window)."""
-        root = self.trie.nodes[ROOT_KEY]
-        for child in root.children_by_fac.get(fac, ()):
-            if child in self.keep:
-                return child
-        return None
 
     def motif_child(self, key: FactorKey, fac: FactorKey) -> FactorKey | None:
         """Motif child of node ``key`` whose factor-set difference equals

@@ -37,7 +37,7 @@ def partition_tables(
             "part": [assignment.get(v, -1) for v in vids],
         }
     )
-    ce = graph.canonical_edges()
+    ce = graph.edges
     src = [u for u, _ in ce] + [v for _, v in ce]
     dst = [v for _, v in ce] + [u for u, _ in ce]
     dedges = pd.DataFrame(

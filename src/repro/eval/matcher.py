@@ -35,7 +35,7 @@ VERTICES = "vertices"  # (vid, label, part) — stats/balance queries only
 def _plan(pattern: LabeledGraph) -> tuple[list[str], list[str], dict[int, tuple[str, str]]]:
     """FROM aliases, WHERE predicates, and a representative (vid, part)
     column pair for every pattern vertex."""
-    edges = pattern.canonical_edges()
+    edges = pattern.edges
     if not edges:
         raise ValueError("pattern must have at least one edge")
     froms = [f"{DEDGES} e{j}" for j in range(len(edges))]
@@ -65,15 +65,6 @@ def embeddings_sql(pattern: LabeledGraph) -> str:
         f"{rep[v][0]} AS m{i}" for i, v in enumerate(sorted(pattern.labels))
     )
     return f"SELECT {cols} FROM {', '.join(froms)} WHERE {' AND '.join(wheres)}"
-
-
-def count_sql(pattern: LabeledGraph) -> str:
-    """SELECT COUNT(*) of embeddings (aliased ``n_matches`` on both engines)."""
-    froms, wheres, _ = _plan(pattern)
-    return (
-        f"SELECT COUNT(*) AS n_matches FROM {', '.join(froms)} "
-        f"WHERE {' AND '.join(wheres)}"
-    )
 
 
 def ipt_sql(pattern: LabeledGraph) -> str:

@@ -10,7 +10,7 @@ schemas produced by :func:`vertices_df` / :func:`edges_df`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -42,7 +42,8 @@ class LabeledGraph:
 
     ``labels`` maps vertex id -> label string; ``edges`` is a list of
     (u, v) pairs. Self-loops are rejected (query patterns in the paper are
-    simple graphs); parallel edges are collapsed by :meth:`canonical_edges`.
+    simple graphs). After construction ``edges`` is deduplicated,
+    canonically oriented and sorted; it is never mutated afterwards.
     """
 
     labels: dict[int, str]
@@ -54,6 +55,7 @@ class LabeledGraph:
                 raise ValueError(f"self-loop ({u},{v}) not supported")
             if u not in self.labels or v not in self.labels:
                 raise ValueError(f"edge ({u},{v}) references unlabelled vertex")
+        self.edges = sorted({norm_edge(u, v) for u, v in self.edges})
 
     @property
     def n_vertices(self) -> int:
@@ -61,18 +63,14 @@ class LabeledGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.canonical_edges())
-
-    def canonical_edges(self) -> list[tuple[int, int]]:
-        """Deduplicated, canonically-oriented edge list, sorted."""
-        return sorted({norm_edge(u, v) for u, v in self.edges})
+        return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.canonical_edges() if v in e)
+        return sum(1 for e in self.edges if v in e)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in self.labels}
-        for u, v in self.canonical_edges():
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -93,13 +91,6 @@ def subgraph_degrees(edges: Iterable[tuple[int, int]]) -> dict[int, int]:
     return deg
 
 
-def iter_stream(graph: LabeledGraph, order: list[tuple[int, int]] | None = None) -> Iterator[Edge]:
-    """Yield the graph's edges as stream :class:`Edge` elements."""
-    edges = order if order is not None else graph.canonical_edges()
-    for i, (u, v) in enumerate(edges):
-        yield Edge(i, u, v)
-
-
 def vertices_df(spark: SparkSession, graph: LabeledGraph) -> DataFrame:
     """Spark DataFrame (vid: long, label: string) for a labelled graph."""
     pdf = pd.DataFrame(
@@ -110,6 +101,6 @@ def vertices_df(spark: SparkSession, graph: LabeledGraph) -> DataFrame:
 
 def edges_df(spark: SparkSession, graph: LabeledGraph) -> DataFrame:
     """Spark DataFrame (src: long, dst: long), canonical orientation."""
-    ce = graph.canonical_edges()
+    ce = graph.edges
     pdf = pd.DataFrame({"src": [u for u, _ in ce], "dst": [v for _, v in ce]})
     return spark.createDataFrame(pdf)

@@ -15,9 +15,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
 from repro.graphs.model import LabeledGraph
 
 
@@ -117,10 +114,3 @@ class StreamingPartitioner(ABC):
         self.finalize()
         return dict(self.state.assignment)
 
-
-def assignment_df(spark: SparkSession, assignment: dict[int, int]) -> DataFrame:
-    """Spark DataFrame (vid: long, part: long) from an assignment map."""
-    pdf = pd.DataFrame(
-        {"vid": list(assignment.keys()), "part": list(assignment.values())}
-    )
-    return spark.createDataFrame(pdf)

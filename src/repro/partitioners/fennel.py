@@ -32,16 +32,14 @@ class FennelPartitioner(StreamingPartitioner):
     ):
         super().__init__(k, n_vertices, slack=nu)
         self.gamma = gamma
-        self.nu = nu
         n = max(1, n_vertices)
         self.alpha = math.sqrt(k) * max(1, n_edges) / n**1.5
-        self.max_size = nu * n / k
 
     def _choose(self, st: PartitionState, v: int) -> int:
         best_pid, best_key = -1, None
         counts = st.neighbour_counts(v)
         for pid in range(st.k):
-            if st.sizes[pid] >= self.max_size:
+            if st.sizes[pid] >= st.capacity:
                 continue
             score = counts[pid] - self.alpha * self.gamma * st.sizes[
                 pid

@@ -31,7 +31,7 @@ class TestModel:
 
     def test_canonical_edges_dedup(self):
         g = LabeledGraph({0: "a", 1: "b"}, [(0, 1), (1, 0), (0, 1)])
-        assert g.canonical_edges() == [(0, 1)]
+        assert g.edges == [(0, 1)]
         assert g.n_edges == 1
 
     def test_degree_and_adjacency(self):
@@ -56,12 +56,12 @@ class TestSchemaGraph:
         g1 = schema_graph({"a": 0.5, "b": 0.5}, [Relation("a", "b", 1.0)], scale=100, seed=1)
         g2 = schema_graph({"a": 0.5, "b": 0.5}, [Relation("a", "b", 1.0)], scale=100, seed=1)
         assert g1.labels == g2.labels
-        assert g1.canonical_edges() == g2.canonical_edges()
+        assert g1.edges == g2.edges
 
     def test_seed_changes_graph(self):
         g1 = schema_graph({"a": 0.5, "b": 0.5}, [Relation("a", "b", 1.0)], scale=100, seed=1)
         g2 = schema_graph({"a": 0.5, "b": 0.5}, [Relation("a", "b", 1.0)], scale=100, seed=2)
-        assert g1.canonical_edges() != g2.canonical_edges()
+        assert g1.edges != g2.edges
 
     def test_relation_respects_schema(self):
         g = schema_graph(
@@ -70,12 +70,12 @@ class TestSchemaGraph:
             scale=200,
             seed=0,
         )
-        for u, v in g.canonical_edges():
+        for u, v in g.edges:
             assert {g.label_of(u), g.label_of(v)} == {"a", "b"}
 
     def test_no_self_loops(self):
         g = schema_graph({"a": 1.0}, [Relation("a", "a", 2.0)], scale=100, seed=0)
-        for u, v in g.canonical_edges():
+        for u, v in g.edges:
             assert u != v
 
     def test_contiguous_class_blocks(self):
@@ -127,7 +127,7 @@ class TestDatasetSubstitutes:
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_deterministic(self, name):
         g1, g2 = DATASETS[name](scale=500), DATASETS[name](scale=500)
-        assert g1.canonical_edges() == g2.canonical_edges()
+        assert g1.edges == g2.edges
 
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_workload_patterns_have_matches(self, name, spark):
@@ -136,14 +136,14 @@ class TestDatasetSubstitutes:
         import duckdb
 
         from repro.eval.ipt import partition_tables
-        from repro.eval.matcher import count_sql
+        from repro.eval.matcher import ipt_sql
 
         g = DATASETS[name](scale=1500)
         _, dedges = partition_tables(g, {})
         con = duckdb.connect()
         con.register("dedges", dedges)
         for pat, _ in workload(name):
-            n = con.execute(count_sql(pat)).fetchone()[0]
+            n = con.execute(ipt_sql(pat)).fetchone()[0]
             assert n > 0, f"{name}: pattern {sorted(pat.labels.values())} unmatched"
         con.close()
 
@@ -155,11 +155,11 @@ class TestDatasetSubstitutes:
         qtypes = {
             frozenset((p.label_of(a), p.label_of(b)))
             for p, _ in workload(name)
-            for a, b in p.canonical_edges()
+            for a, b in p.edges
         }
         queried = sum(
             1
-            for u, v in g.canonical_edges()
+            for u, v in g.edges
             if frozenset((g.label_of(u), g.label_of(v))) in qtypes
         )
         assert 0.2 <= queried / g.n_edges <= 0.9

@@ -54,7 +54,7 @@ class TestRunSystem:
         assert run.elapsed_s > 0
         assert run.n_edges == g.n_edges
         assert run.ms_per_10k > 0
-        seen = {x for e in g.canonical_edges() for x in e}
+        seen = {x for e in g.edges for x in e}
         assert set(run.assignment) == seen
 
     def test_loom_window_override(self):

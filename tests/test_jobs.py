@@ -33,15 +33,14 @@ class TestTable2:
             assert "(" in line  # paper reference values present
 
     def test_time_system_returns_rate(self):
+        from repro.eval.harness import run_system
         from repro.graphs.generators import generate
         from repro.graphs.streams import ordered_stream
         from repro.workloads.queries import workload
 
         g = generate("provgen", scale=SCALE)
         order = ordered_stream(g, "bfs", seed=0)
-        ms = table2_throughput.time_system(
-            "ldg", g, order, 4, workload("provgen"), window=100
-        )
+        ms = run_system("ldg", g, order, 4, workload("provgen"), window=100).ms_per_10k
         assert ms > 0
 
 

@@ -1,11 +1,18 @@
 """Unit tests for the Loom partitioner and equal opportunism (Sec. 4)."""
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.loom import DEFAULT_ALPHA, LoomPartitioner, ration
 from repro.core.tpstry import TPSTry
+from repro.graphs.generators import generate
 from repro.graphs.model import LabeledGraph
-from repro.partitioners.base import stream_of
-from repro.workloads.queries import _path
+from repro.graphs.streams import ORDERS, ordered_stream
+from repro.partitioners.base import StreamEdge, stream_of
+from repro.partitioners.ldg import LDGPartitioner
+from repro.workloads.queries import _path, workload
 
 
 def simple_workload():
@@ -65,7 +72,7 @@ class TestStreaming:
     def test_non_motif_edges_assigned_immediately(self):
         p = make_loom()
         g = LabeledGraph({0: "z", 1: "z"}, [(0, 1)])
-        for e in stream_of(g, g.canonical_edges()):
+        for e in stream_of(g, g.edges):
             p.add_edge(e)
         assert p.state.is_assigned(0) and p.state.is_assigned(1)
         assert len(p.matcher) == 0
@@ -73,7 +80,7 @@ class TestStreaming:
     def test_motif_edges_deferred_to_window(self):
         p = make_loom()
         g = LabeledGraph({0: "a", 1: "b"}, [(0, 1)])
-        for e in stream_of(g, g.canonical_edges()):
+        for e in stream_of(g, g.edges):
             p.add_edge(e)
         assert not p.state.is_assigned(0)
         assert len(p.matcher) == 1
@@ -142,8 +149,8 @@ class TestStreaming:
                 edges.add((min(u, v), max(u, v)))
         g = LabeledGraph(labels, sorted(edges))
         p = make_loom(k=4, n=80, window=20)
-        asg = p.partition(stream_of(g, g.canonical_edges()))
-        seen = {x for e in g.canonical_edges() for x in e}
+        asg = p.partition(stream_of(g, g.edges))
+        seen = {x for e in g.edges for x in e}
         assert set(asg) == seen
 
     def test_balance_within_b(self):
@@ -158,7 +165,7 @@ class TestStreaming:
                 edges.add((min(u, v), max(u, v)))
         g = LabeledGraph(labels, sorted(edges))
         p = make_loom(k=8, n=200, window=50)
-        p.partition(stream_of(g, g.canonical_edges()))
+        p.partition(stream_of(g, g.edges))
         # hard cap: ceil(1.1 * n / k); one-past-the-post on the spill path
         assert max(p.state.sizes) <= p.state.capacity + 1
 
@@ -178,6 +185,42 @@ class TestStreaming:
         a1 = make_loom(k=4, n=60, window=15).partition(stream_of(g, edges))
         a2 = make_loom(k=4, n=60, window=15).partition(stream_of(g, edges))
         assert a1 == a2
+
+
+class TestIngress:
+    def test_self_loop_rejected(self):
+        p = make_loom()
+        with pytest.raises(ValueError, match="self-loop"):
+            p.add_edge(StreamEdge(0, 3, 3, "a", "a"))
+
+    def test_relabelled_vertex_rejected(self):
+        p = make_loom()
+        p.add_edge(StreamEdge(0, 0, 1, "a", "b"))
+        with pytest.raises(ValueError, match="first seen as 'b'"):
+            p.add_edge(StreamEdge(1, 1, 2, "c", "b"))
+
+
+@lru_cache(maxsize=None)
+def _graph(dataset):
+    return generate(dataset, scale=400)
+
+
+class TestNoMotifsIsLDG:
+    """With a support threshold above 1 no trie node is a motif, every edge
+    bypasses the window, and Loom is exactly its LDG fallback."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        st.sampled_from(["dblp", "provgen", "musicbrainz", "lubm"]),
+        st.sampled_from(ORDERS),
+        st.integers(0, 2**16),
+    )
+    def test_assignment_equals_ldg(self, dataset, order, seed):
+        g = _graph(dataset)
+        stream = list(stream_of(g, ordered_stream(g, order, seed=seed)))
+        loom = LoomPartitioner(8, g.n_vertices, workload(dataset), threshold=1.01)
+        assert len(loom.motifs) == 0
+        assert loom.partition(stream) == LDGPartitioner(8, g.n_vertices).partition(stream)
 
 
 class TestEdgeTypeSupport:

@@ -8,7 +8,7 @@ import duckdb
 import pytest
 
 from repro.eval.ipt import partition_tables, register_views
-from repro.eval.matcher import DEDGES, count_sql, embeddings_sql, ipt_sql
+from repro.eval.matcher import DEDGES, embeddings_sql, ipt_sql
 from repro.graphs.generators import dblp_lite, musicbrainz_lite
 from repro.graphs.model import LabeledGraph
 from repro.oracle import assert_equivalent
@@ -37,30 +37,30 @@ def tiny_views(spark):
 
 class TestSqlGeneration:
     def test_one_alias_per_pattern_edge(self):
-        sql = count_sql(_path(["a", "b", "c"]))
+        sql = embeddings_sql(_path(["a", "b", "c"]))
         assert sql.count(f"{DEDGES} e") == 2
 
     def test_labels_constrained(self):
-        sql = count_sql(_path(["a", "b"]))
+        sql = embeddings_sql(_path(["a", "b"]))
         assert "src_label = 'a'" in sql
         assert "dst_label = 'b'" in sql
 
     def test_distinctness_only_for_equal_labels(self):
-        sql_hetero = count_sql(_path(["a", "b", "c"]))
+        sql_hetero = embeddings_sql(_path(["a", "b", "c"]))
         assert "<>" not in sql_hetero  # no vid inequality predicates needed
-        sql_homo = count_sql(_path(["a", "b", "a"]))
+        sql_homo = embeddings_sql(_path(["a", "b", "a"]))
         assert "<>" in sql_homo
 
     def test_rejects_edgeless_pattern(self):
         with pytest.raises(ValueError):
-            count_sql(LabeledGraph({0: "a"}, []))
+            embeddings_sql(LabeledGraph({0: "a"}, []))
 
 
 class TestTinyGraphCounts:
     """Hand-computed embedding counts on the Fig. 1 graph."""
 
     def run_count(self, spark, pattern):
-        return spark.sql(count_sql(pattern)).collect()[0]["n_matches"]
+        return spark.sql(ipt_sql(pattern)).collect()[0]["n_matches"]
 
     def test_ab_edges(self, spark, tiny_views):
         # a-b edges: (1,2) (1,4) (4,5) (5,7) (6,7) (2,6) -> 6, each matched
@@ -111,8 +111,8 @@ class TestOracleEquivalence:
         _, dedges = partition_tables(g, hash_assignment(g, 4))
         register_views(spark, *partition_tables(g, hash_assignment(g, 4)))
         for pattern, _ in workload("dblp"):
-            got = spark.sql(count_sql(pattern))
-            assert_equivalent(got, count_sql(pattern), dedges=dedges)
+            got = spark.sql(ipt_sql(pattern))
+            assert_equivalent(got, ipt_sql(pattern), dedges=dedges)
 
     def test_ipt_matches_duckdb_on_musicbrainz(self, spark):
         g = musicbrainz_lite(scale=300)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.motifs import WindowMatcher
 from repro.core.signature import factor_key, graph_factors, incremental_factors
-from repro.core.tpstry import TPSTry
+from repro.core.tpstry import ROOT_KEY, TPSTry
 from repro.graphs.generators import generate
 from repro.graphs.model import Edge, LabeledGraph
 from repro.graphs.streams import ORDERS, ordered_stream
@@ -289,7 +289,7 @@ def oracle_setup(dataset: str, seed: int, order: str):
     gated = [
         (u, v)
         for u, v in ordered_stream(g, order, seed=seed)
-        if motifs.single_edge_motif(incremental_factors((u, v), (), g.labels, h))
+        if motifs.motif_child(ROOT_KEY, incremental_factors((u, v), (), g.labels, h))
     ]
     return g, motifs, gated
 

@@ -14,7 +14,7 @@ def chain_graph(n: int, label: str = "a") -> LabeledGraph:
 
 def chain_stream(n: int):
     g = chain_graph(n)
-    return g, list(stream_of(g, g.canonical_edges()))
+    return g, list(stream_of(g, g.edges))
 
 
 class TestPartitionState:
@@ -139,7 +139,7 @@ class TestLDG:
         """A streamed chain should mostly follow itself, not scatter."""
         g, stream = chain_stream(64)
         asg = LDGPartitioner(4, g.n_vertices).partition(stream)
-        same = sum(1 for u, v in g.canonical_edges() if asg[u] == asg[v])
+        same = sum(1 for u, v in g.edges if asg[u] == asg[v])
         assert same / g.n_edges > 0.8
 
     def test_balance_within_slack(self):
@@ -162,7 +162,7 @@ class TestFennel:
     def test_follows_neighbours(self):
         g, stream = chain_stream(64)
         asg = FennelPartitioner(4, g.n_vertices, g.n_edges).partition(stream)
-        same = sum(1 for u, v in g.canonical_edges() if asg[u] == asg[v])
+        same = sum(1 for u, v in g.edges if asg[u] == asg[v])
         assert same / g.n_edges > 0.8
 
     def test_nu_cap_enforced(self):
@@ -179,7 +179,7 @@ class TestFennel:
         edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
         g = LabeledGraph(labels, edges)
         p = FennelPartitioner(4, n, len(edges))
-        p.partition(stream_of(g, g.canonical_edges()))
+        p.partition(stream_of(g, g.edges))
         assert p.state.imbalance() <= 1.2
 
     def test_all_assigned(self):
@@ -209,5 +209,5 @@ class TestDeterminism:
 class TestStreamOf:
     def test_stream_edges_carry_labels(self):
         g = LabeledGraph({0: "x", 1: "y"}, [(0, 1)])
-        [e] = list(stream_of(g, g.canonical_edges()))
+        [e] = list(stream_of(g, g.edges))
         assert e == StreamEdge(0, 0, 1, "x", "y")

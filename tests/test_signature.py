@@ -175,7 +175,7 @@ class TestSignatureProperties:
         """Building a connected sub-graph edge-by-edge multiplies exactly
         the factors of the full recomputation."""
         h = LabelHash(["a", "b", "c"], p=251)
-        edges = g.canonical_edges()
+        edges = g.edges
         # grow a connected sub-graph greedily from the first edge
         sub = [edges[0]]
         verts = set(edges[0])

@@ -16,6 +16,11 @@ def fig1_workload():
     return [(q1, 1.0), (q2, 1.0), (q3, 1.0)]
 
 
+def children(node):
+    """Child keys of ``node``, over every fac key."""
+    return {c for cs in node.children_by_fac.values() for c in cs}
+
+
 @pytest.fixture()
 def fig1_trie():
     return TPSTry.from_workload(fig1_workload(), p=251, seed=7)
@@ -28,13 +33,13 @@ class TestConstruction:
 
     def test_single_edge_nodes_are_root_children(self, fig1_trie):
         root = fig1_trie.nodes[ROOT_KEY]
-        for child in root.children:
+        for child in children(root):
             assert fig1_trie.nodes[child].n_edges == 1
 
     def test_fig1_single_edges(self, fig1_trie):
         """Fig. 2's first trie level: exactly the edge types a-b and b-c."""
         root = fig1_trie.nodes[ROOT_KEY]
-        reps = {fig1_trie.nodes[c].rep_edges for c in root.children}
+        reps = {fig1_trie.nodes[c].rep_edges for c in children(root)}
         assert reps == {(("a", "b"),), (("b", "c"),)}
 
     def test_isomorphic_subgraphs_share_nodes(self):
@@ -56,7 +61,7 @@ class TestConstruction:
         paths3 = [n for n in trie.nodes.values() if n.n_edges == 3]
         assert len(paths3) == 1  # the a-b-a-b path
         parents = [
-            n for n in trie.nodes.values() if paths3[0].key in n.children
+            n for n in trie.nodes.values() if paths3[0].key in children(n)
         ]
         # both 2-edge sub-paths (a-b-a and b-a-b) are distinct nodes and
         # both link to the 3-edge path
@@ -71,12 +76,6 @@ class TestConstruction:
             by_depth.setdefault(n.n_edges, 0)
             by_depth[n.n_edges] += 1
         assert by_depth == {0: 1, 1: 2, 2: 1}
-
-    def test_children_by_fac_resolves(self, fig1_trie):
-        """Every child is reachable through its fac key (Alg. 2's lookup)."""
-        for node in fig1_trie.nodes.values():
-            via_fac = {c for cs in node.children_by_fac.values() for c in cs}
-            assert via_fac == node.children
 
     def test_rejects_empty_query(self):
         trie = TPSTry(LabelHash(["a"]))
@@ -115,7 +114,7 @@ class TestSupport:
     def test_support_monotone_on_trie_paths(self, fig1_trie):
         """Sec. 3: a node's support never exceeds any ancestor's."""
         for node in fig1_trie.nodes.values():
-            for child in node.children:
+            for child in children(node):
                 assert (
                     fig1_trie.support(child) <= fig1_trie.support(node.key) + 1e-12
                 )
@@ -149,7 +148,7 @@ class TestMotifIndex:
         for node in fig1_trie.nodes.values():
             if node.key == ROOT_KEY:
                 continue
-            for child in node.children:
+            for child in children(node):
                 if motifs.is_motif(child):
                     assert motifs.is_motif(node.key)
 
@@ -158,9 +157,9 @@ class TestMotifIndex:
 
         motifs = fig1_trie.motifs(0.4)
         fac = incremental_factors((0, 1), (), {0: "a", 1: "b"}, fig1_trie.h)
-        assert motifs.single_edge_motif(fac) is not None
+        assert motifs.motif_child(ROOT_KEY, fac) is not None
         fac_cd = incremental_factors((0, 1), (), {0: "c", 1: "d"}, fig1_trie.h)
-        assert motifs.single_edge_motif(fac_cd) is None
+        assert motifs.motif_child(ROOT_KEY, fac_cd) is None
 
     def test_motif_child_lookup(self, fig1_trie):
         """Extending a-b by another a-b at the b end reaches a-b-a."""
@@ -169,7 +168,7 @@ class TestMotifIndex:
         motifs = fig1_trie.motifs(0.4)
         labels = {0: "a", 1: "b", 2: "a"}
         fac1 = incremental_factors((0, 1), (), labels, fig1_trie.h)
-        n1 = motifs.single_edge_motif(fac1)
+        n1 = motifs.motif_child(ROOT_KEY, fac1)
         fac2 = incremental_factors((1, 2), [(0, 1)], labels, fig1_trie.h)
         n2 = motifs.motif_child(n1, fac2)
         assert n2 is not None

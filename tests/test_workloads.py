@@ -9,7 +9,7 @@ class TestBuilders:
     def test_path_shape(self):
         p = _path(["a", "b", "c"])
         assert p.n_vertices == 3
-        assert p.canonical_edges() == [(0, 1), (1, 2)]
+        assert p.edges == [(0, 1), (1, 2)]
         assert [p.label_of(i) for i in range(3)] == ["a", "b", "c"]
 
     def test_star_shape(self):
@@ -20,7 +20,7 @@ class TestBuilders:
 
     def test_two_vertex_path(self):
         p = _path(["a", "b"])
-        assert p.canonical_edges() == [(0, 1)]
+        assert p.edges == [(0, 1)]
 
 
 class TestWorkloads:
