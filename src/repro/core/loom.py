@@ -102,13 +102,14 @@ class LoomPartitioner(StreamingPartitioner):
     # ------------------------------------------------------------- stream
     def add_edge(self, e: StreamEdge) -> None:
         st = self.state
+        labels = self.labels
         if e.u == e.v:
             raise ValueError(f"self-loop on vertex {e.u} (edge {e.eid})")
-        for w, lw in ((e.u, e.lu), (e.v, e.lv)):
-            if self.labels.setdefault(w, lw) != lw:
-                raise ValueError(
-                    f"vertex {w} arrives labelled {lw!r}, first seen as {self.labels[w]!r}"
-                )
+        if labels.setdefault(e.u, e.lu) != e.lu or labels.setdefault(e.v, e.lv) != e.lv:
+            raise ValueError(
+                f"edge {e.eid} labels ({e.u}, {e.v}) as ({e.lu!r}, {e.lv!r}), first seen "
+                f"as ({labels.get(e.u)!r}, {labels.get(e.v)!r})"
+            )
         st.observe_edge(e.u, e.v)
         entered = self.matcher.offer(Edge(e.eid, e.u, e.v))
         if not entered:

@@ -196,7 +196,7 @@ class TestIngress:
     def test_relabelled_vertex_rejected(self):
         p = make_loom()
         p.add_edge(StreamEdge(0, 0, 1, "a", "b"))
-        with pytest.raises(ValueError, match="first seen as 'b'"):
+        with pytest.raises(ValueError, match=r"first seen as \('b', None\)"):
             p.add_edge(StreamEdge(1, 1, 2, "c", "b"))
 
 
